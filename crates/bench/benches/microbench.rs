@@ -4,6 +4,9 @@
 
 use std::sync::Arc;
 
+use chime::hopscotch::build_table;
+use chime::layout::LeafLayout;
+use chime::leaf::{LeafMeta, LeafOps};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dmem::hash::home_entry;
 use dmem::node::RESERVED_BYTES;
@@ -33,11 +36,31 @@ fn bench_substrate(c: &mut Criterion) {
     g.bench_function("versioned_fetch_neighborhood", |b| {
         b.iter(|| layout.fetch(&mut ep, addr, 170, 170 + 162))
     });
+    // One 64-entry leaf (48 keys): fetch, NV/EV checks, snapshot, bitmaps.
+    let ops = LeafOps::new(LeafLayout {
+        span: 64,
+        h: 8,
+        key_size: 8,
+        value_size: 8,
+        replication: true,
+        fences: false,
+        piggyback: true,
+    });
+    let items: Vec<(u64, Vec<u8>)> = (1..=48u64).map(|k| (k, k.to_le_bytes().to_vec())).collect();
+    let meta = LeafMeta {
+        sibling: GlobalAddr::NULL,
+        valid: true,
+        fences: None,
+    };
+    ops.write_new(&mut ep, addr, &build_table(64, 8, &items).unwrap(), &meta);
+    g.bench_function("leaf_read_full", |b| {
+        b.iter(|| ops.read_full(&mut ep, addr))
+    });
     g.finish();
 }
 
 fn bench_hopscotch(c: &mut Criterion) {
-    use chime::hopscotch::{build_table, Window};
+    use chime::hopscotch::Window;
     let items: Vec<(u64, Vec<u8>)> = (1..=48u64).map(|k| (k, k.to_le_bytes().to_vec())).collect();
     let mut g = c.benchmark_group("hopscotch");
     g.bench_function("build_table_48_of_64", |b| {
@@ -91,6 +114,15 @@ fn bench_index_ops(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             cc.search(KeySpace::key(i * 7 % 50_000)).unwrap()
+        })
+    });
+    let mut out = Vec::with_capacity(100);
+    g.bench_function("chime_scan_100", |b| {
+        b.iter(|| {
+            i += 1;
+            out.clear();
+            cc.scan(KeySpace::key(i * 7 % 50_000), 100, &mut out);
+            out.len()
         })
     });
     let mut j = 60_000u64;

@@ -161,17 +161,15 @@ impl LeafLayout {
             .collect()
     }
 
-    /// Block indices whose replica is fully covered by logical `[a, b)`.
-    pub fn replicas_in(&self, a: usize, b: usize) -> Vec<usize> {
-        if !self.replication {
-            return if a == 0 { vec![0] } else { vec![] };
-        }
-        (0..self.span / self.h)
-            .filter(|&blk| {
-                let r = self.replica_off(blk);
-                r >= a && r + self.replica_size() <= b
-            })
-            .collect()
+    /// Block indices whose replica is fully covered by logical `[a, b)`,
+    /// ascending.
+    pub fn replicas_in(&self, a: usize, b: usize) -> impl Iterator<Item = usize> {
+        let l = *self;
+        let blocks = if l.replication { l.span / l.h } else { 1 };
+        (0..blocks).filter(move |&blk| {
+            let r = l.replica_off(blk);
+            r >= a && r + l.replica_size() <= b
+        })
     }
 
     /// Metadata bytes per node (everything that is not key/value payload),
@@ -321,7 +319,10 @@ mod tests {
             assert!(total >= l.h * l.entry_size() + l.replica_size());
             assert!(total <= l.h * l.entry_size() + 2 * l.replica_size());
             // Exactly one replica must be fully covered per read.
-            let covered: usize = ranges.iter().map(|&(a, b)| l.replicas_in(a, b).len()).sum();
+            let covered: usize = ranges
+                .iter()
+                .map(|&(a, b)| l.replicas_in(a, b).count())
+                .sum();
             assert!(covered >= 1, "home {home} covers no replica");
         }
     }
@@ -353,7 +354,10 @@ mod tests {
                 }
                 i = (i + 1) % l.span;
             }
-            let covered: usize = ranges.iter().map(|&(s, t)| l.replicas_in(s, t).len()).sum();
+            let covered: usize = ranges
+                .iter()
+                .map(|&(s, t)| l.replicas_in(s, t).count())
+                .sum();
             assert!(covered >= 1, "hop range [{a},{e}] covers no replica");
         }
     }
@@ -369,7 +373,7 @@ mod tests {
         assert_eq!(l.payload_len(), 10 + 64 * 19);
         // Most neighborhoods cover no replica.
         let ranges = l.neighborhood_ranges(20);
-        assert!(l.replicas_in(ranges[0].0, ranges[0].1).is_empty());
+        assert_eq!(l.replicas_in(ranges[0].0, ranges[0].1).count(), 0);
     }
 
     #[test]

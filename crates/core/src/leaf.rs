@@ -91,22 +91,21 @@ impl LeafSnapshot {
             .unwrap_or(ARGMAX_NONE)
     }
 
-    /// All `(key, value)` items, unsorted.
-    pub fn items(&self) -> Vec<(u64, Vec<u8>)> {
+    /// All `(key, value)` items, unsorted, moving the values out.
+    pub fn into_items(self) -> impl Iterator<Item = (u64, Vec<u8>)> {
         self.keys
-            .iter()
-            .zip(self.values.iter())
-            .filter(|(&k, _)| k != 0)
-            .map(|(&k, v)| (k, v.clone()))
-            .collect()
+            .into_iter()
+            .zip(self.values)
+            .filter(|&(k, _)| k != 0)
     }
 
     /// Converts the snapshot into a full-span hopscotch window.
     pub fn into_window(self, h: usize) -> (Window, Vec<u8>) {
         let span = self.keys.len();
         let mut w = Window::new(span, h, 0, span);
-        for i in 0..span {
-            w.set_slot(i, self.keys[i], self.values[i].clone(), self.bitmaps[i]);
+        let slots = self.keys.into_iter().zip(self.values).zip(self.bitmaps);
+        for (i, ((key, value), bitmap)) in slots.enumerate() {
+            w.set_slot(i, key, value, bitmap);
         }
         (w, self.evs)
     }
@@ -212,8 +211,16 @@ impl LeafOps {
         fetch.copy(off, self.layout.value_size)
     }
 
-    fn entry_ev(&self, fetch: &Fetched, i: usize) -> u8 {
-        ev(fetch.get(self.layout.entry_off(i)))
+    /// Key, value, bitmap and EV of entry `i` (its offset computed once).
+    fn entry(&self, fetch: &Fetched, i: usize) -> (u64, Vec<u8>, u16, u8) {
+        let off = self.layout.entry_off(i);
+        let voff = off + entry_field::KEY + self.layout.key_size;
+        (
+            fetch.u64_at(off + entry_field::KEY),
+            fetch.copy(voff, self.layout.value_size),
+            fetch.u16_at(off + entry_field::BITMAP),
+            ev(fetch.get(off)),
+        )
     }
 
     /// Serializes one entry into its logical bytes.
@@ -244,29 +251,24 @@ impl LeafOps {
         b
     }
 
-    /// Entries fully covered by logical `[a, b)`.
-    fn entries_in(&self, a: usize, b: usize) -> Vec<usize> {
-        (0..self.layout.span)
-            .filter(|&i| {
-                let off = self.layout.entry_off(i);
-                off >= a && off + self.layout.entry_size() <= b
-            })
-            .collect()
+    /// Logical offsets of the entries fully covered by `[a, b)`, ascending.
+    fn entries_in(&self, a: usize, b: usize) -> impl Iterator<Item = usize> {
+        let l = self.layout;
+        (0..l.span)
+            .map(move |i| l.entry_off(i))
+            .filter(move |&off| off >= a && off + l.entry_size() <= b)
     }
 
     /// Checks NV uniformity across all fetched pieces; returns the NV.
     fn check_all_nv(&self, pieces: &[Fetched]) -> Option<u8> {
         let mut expect = None;
         for p in pieces {
-            let mut leads: Vec<usize> = self
-                .entries_in(p.lstart(), p.lend())
-                .iter()
-                .map(|&i| self.layout.entry_off(i))
-                .collect();
-            for b in self.layout.replicas_in(p.lstart(), p.lend()) {
-                leads.push(self.layout.replica_off(b));
-            }
-            let nv = p.check_nv(&leads)?;
+            let (a, b) = (p.lstart(), p.lend());
+            let replicas = self.layout.replicas_in(a, b);
+            let leads = self
+                .entries_in(a, b)
+                .chain(replicas.map(|blk| self.layout.replica_off(blk)));
+            let nv = p.check_nv(leads)?;
             match expect {
                 None => expect = Some(nv),
                 Some(e) if e != nv => return None,
@@ -279,10 +281,8 @@ impl LeafOps {
     /// Checks EV consistency of every entry covered by every piece.
     fn check_all_ev(&self, pieces: &[Fetched]) -> bool {
         pieces.iter().all(|p| {
-            self.entries_in(p.lstart(), p.lend()).iter().all(|&i| {
-                let off = self.layout.entry_off(i);
-                p.check_ev(off, off + self.layout.entry_size())
-            })
+            self.entries_in(p.lstart(), p.lend())
+                .all(|off| p.check_ev(off, off + self.layout.entry_size()))
         })
     }
 
@@ -298,7 +298,7 @@ impl LeafOps {
     /// First covered replica across pieces.
     fn meta_from(&self, pieces: &[Fetched]) -> Option<LeafMeta> {
         for p in pieces {
-            if let Some(&b) = self.layout.replicas_in(p.lstart(), p.lend()).first() {
+            if let Some(b) = self.layout.replicas_in(p.lstart(), p.lend()).next() {
                 return Some(self.parse_meta(p, self.layout.replica_off(b)));
             }
         }
@@ -396,17 +396,12 @@ impl LeafOps {
         loop {
             spins += 1;
             assert!(spins < 1_000_000, "full leaf read livelock at {addr:?}");
-            let pieces = self
+            let f = self
                 .layout
                 .versioned()
                 .fetch_many(ep, addr, &[(0, self.layout.payload_len())]);
-            if let Some(nv) = self.check_all_nv(&pieces) {
-                if self.check_all_ev(&pieces) {
-                    let snap = self.snapshot_from(&pieces[0], nv);
-                    if self.bitmaps_consistent(&snap) {
-                        return snap;
-                    }
-                }
+            if let Some(snap) = self.validated_snapshot(&f[0]) {
+                return snap;
             }
             ep.note_torn_read();
             backoff.wait(ep);
@@ -428,48 +423,38 @@ impl LeafOps {
                 backoff.wait(ep);
             }
             // One READ per pending leaf, all in one doorbell batch.
-            let full = (0usize, self.layout.payload_len());
-            let mut bufs: Vec<Vec<Fetched>> = Vec::with_capacity(pending.len());
-            {
-                // fetch_many targets a single node; issue per-node fetches
-                // but charge one round-trip by batching at the verb layer.
-                let layout = self.layout.versioned();
-                let mut raw: Vec<(GlobalAddr, Vec<u8>)> = pending
-                    .iter()
-                    .map(|&i| {
-                        let ps = layout.phys_start(full.0);
-                        let pe = layout.phys_of(full.1 - 1) + 1;
-                        (addrs[i].add(ps as u64), vec![0u8; pe - ps])
-                    })
-                    .collect();
-                {
-                    let mut reqs: Vec<(GlobalAddr, &mut [u8])> = raw
-                        .iter_mut()
-                        .map(|(a, b)| (*a, &mut b[..]))
-                        .collect();
-                    ep.read_batch(&mut reqs);
-                }
-                for (_, buf) in raw {
-                    bufs.push(vec![layout.from_raw(full.0, full.1, buf)]);
-                }
-            }
+            let reqs: Vec<(GlobalAddr, usize, usize)> = pending
+                .iter()
+                .map(|&i| (addrs[i], 0, self.layout.payload_len()))
+                .collect();
+            let fetched = self.layout.versioned().fetch_batch(ep, &reqs);
             let mut still = Vec::new();
-            for (slot, pieces) in pending.iter().zip(bufs.iter()) {
-                let ok = self.check_all_nv(pieces).is_some() && self.check_all_ev(pieces);
-                if ok {
-                    let nv = self.check_all_nv(pieces).unwrap();
-                    let snap = self.snapshot_from(&pieces[0], nv);
-                    if self.bitmaps_consistent(&snap) {
-                        out[*slot] = Some(snap);
-                        continue;
+            for (&slot, f) in pending.iter().zip(&fetched) {
+                match self.validated_snapshot(f) {
+                    Some(snap) => out[slot] = Some(snap),
+                    None => {
+                        ep.note_torn_read();
+                        still.push(slot);
                     }
                 }
-                ep.note_torn_read();
-                still.push(*slot);
             }
             pending = still;
         }
-        out.into_iter().map(|s| s.unwrap()).collect()
+        out.into_iter()
+            .map(|s| s.expect("every leaf validated"))
+            .collect()
+    }
+
+    /// Runs all three validation levels on a whole-leaf fetch (NV once, EV
+    /// per entry, then the bitmaps); `None` when the leaf was torn.
+    fn validated_snapshot(&self, f: &Fetched) -> Option<LeafSnapshot> {
+        let pieces = std::slice::from_ref(f);
+        let nv = self.check_all_nv(pieces)?;
+        if !self.check_all_ev(pieces) {
+            return None;
+        }
+        let snap = self.snapshot_from(f, nv);
+        self.bitmaps_consistent(&snap).then_some(snap)
     }
 
     fn snapshot_from(&self, f: &Fetched, nv: u8) -> LeafSnapshot {
@@ -483,29 +468,24 @@ impl LeafOps {
             meta: self.parse_meta(f, self.layout.replica_off(0)),
         };
         for i in 0..span {
-            snap.keys.push(self.entry_key(f, i));
-            snap.values.push(self.entry_value(f, i));
-            snap.bitmaps.push(self.entry_bitmap(f, i));
-            snap.evs.push(self.entry_ev(f, i));
+            let (key, value, bitmap, ev) = self.entry(f, i);
+            snap.keys.push(key);
+            snap.values.push(value);
+            snap.bitmaps.push(bitmap);
+            snap.evs.push(ev);
         }
         snap
     }
 
-    /// Full bitmap/occupancy cross-check of a snapshot.
+    /// Full bitmap/occupancy cross-check of a snapshot: every key is
+    /// claimed by its home's bitmap, and every claimed slot holds a key
+    /// homed there. Keys at distinct slots claim distinct (home, distance)
+    /// bits, so once every key's bit is found the second half holds exactly
+    /// when the bitmaps set no more bits than there are keys: each key is
+    /// hashed once and the bitmaps are only counted.
     fn bitmaps_consistent(&self, s: &LeafSnapshot) -> bool {
         let span = self.layout.span;
-        // Every claimed slot holds a key homed there...
-        for i in 0..span {
-            for d in 0..16 {
-                if s.bitmaps[i] & (1 << d) != 0 {
-                    let pos = (i + d) % span;
-                    if s.keys[pos] == 0 || home_entry(s.keys[pos], span) != i {
-                        return false;
-                    }
-                }
-            }
-        }
-        // ...and every key is claimed by its home.
+        let mut keys = 0u32;
         for (pos, &k) in s.keys.iter().enumerate() {
             if k != 0 {
                 let hm = home_entry(k, span);
@@ -513,9 +493,10 @@ impl LeafOps {
                 if d >= 16 || s.bitmaps[hm] & (1 << d) == 0 {
                     return false;
                 }
+                keys += 1;
             }
         }
-        true
+        keys == s.bitmaps.iter().map(|b| b.count_ones()).sum::<u32>()
     }
 
     // ----- locking ---------------------------------------------------------
@@ -703,8 +684,9 @@ impl LeafOps {
         for (r, ev) in evs.iter_mut().enumerate() {
             let i = (a + r) % span;
             let p = self.piece_for(&pieces, i);
-            w.set_slot(i, self.entry_key(p, i), self.entry_value(p, i), self.entry_bitmap(p, i));
-            *ev = self.entry_ev(p, i);
+            let (key, value, bitmap, entry_ev) = self.entry(p, i);
+            w.set_slot(i, key, value, bitmap);
+            *ev = entry_ev;
         }
         let max_key = if len == span {
             // Full-node window: compute the true maximum directly (also
@@ -973,13 +955,13 @@ mod tests {
         let (mut ep, ops, addr) = setup();
         let items = populated(&mut ep, &ops, addr, 40);
         let snap = ops.read_full(&mut ep, addr);
-        let mut got = snap.items();
+        assert_eq!(snap.max_key(), Some(40 * 7));
+        assert_eq!(snap.keys[snap.argmax() as usize], 40 * 7);
+        let mut got: Vec<_> = snap.into_items().collect();
         got.sort();
         let mut want = items.clone();
         want.sort();
         assert_eq!(got, want);
-        assert_eq!(snap.max_key(), Some(40 * 7));
-        assert_eq!(snap.keys[snap.argmax() as usize], 40 * 7);
     }
 
     #[test]
@@ -1053,7 +1035,7 @@ mod tests {
         ops.rewrite_and_unlock(&mut ep, addr, &w, snap0.nv, &meta());
         let snap1 = ops.read_full(&mut ep, addr);
         assert_eq!(snap1.nv, bump(snap0.nv));
-        let mut got = snap1.items();
+        let mut got: Vec<_> = snap1.into_items().collect();
         got.sort();
         let mut want = items;
         want.sort();

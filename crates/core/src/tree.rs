@@ -1646,7 +1646,7 @@ impl ChimeClient {
                 let snaps = self.in_phase(Phase::LeafRead, |me| {
                     me.leaf().read_full_batch(&mut me.ep, &addrs)
                 });
-                for (i, snap) in snaps.iter().enumerate() {
+                for (i, snap) in snaps.into_iter().enumerate() {
                     if !snap.meta.valid {
                         // Deprecated leaf: the parent view is stale.
                         self.counters.invalidations += 1;
@@ -1678,21 +1678,13 @@ impl ChimeClient {
                                 self.on_op_conflict(RetryCause::StaleRoute);
                                 continue 'attempt;
                             }
-                            for (k, v) in gap.items() {
-                                if k >= start {
-                                    collected.push((k, v));
-                                }
-                            }
                             c = gap.meta.sibling;
+                            collected.extend(gap.into_items().filter(|&(k, _)| k >= start));
                             hops += 1;
                         }
                     }
                     chain = Some(snap.meta.sibling);
-                    for (k, v) in snap.items() {
-                        if k >= start {
-                            collected.push((k, v));
-                        }
-                    }
+                    collected.extend(snap.into_items().filter(|&(k, _)| k >= start));
                 }
                 idx += take;
                 if collected.len() >= count {
@@ -1722,12 +1714,8 @@ impl ChimeClient {
                                 self.on_op_conflict(RetryCause::StaleRoute);
                                 continue 'attempt;
                             }
-                            for (k, v) in tail.items() {
-                                if k >= start {
-                                    collected.push((k, v));
-                                }
-                            }
                             c = tail.meta.sibling;
+                            collected.extend(tail.into_items().filter(|&(k, _)| k >= start));
                             hops += 1;
                         }
                         break;
@@ -2430,7 +2418,7 @@ mod tests {
         for addr in &leaves {
             let snap = c.leaf().read_full(&mut c.ep, *addr);
             assert!(snap.meta.valid);
-            let items = snap.items();
+            let items: Vec<_> = snap.into_items().collect();
             let min = items.iter().map(|&(k, _)| k).min().unwrap();
             assert!(min > prev_max, "leaves out of order");
             prev_max = items.iter().map(|&(k, _)| k).max().unwrap();

@@ -6,16 +6,21 @@
 //! letting a reader observe it, and then completing the write. The reader
 //! must block in its retry loop while the state is torn and return the
 //! correct value once it heals — never a torn result.
+//!
+//! The batched whole-leaf read (scans) is checked deterministically: the
+//! reader's own endpoint schedules the heal as a torn write that lands
+//! nothing now and the rest a fixed number of verbs later, so the leaf is
+//! torn for exactly the reader's first READs.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use chime::hopscotch::build_table;
-use chime::layout::LeafLayout;
+use chime::layout::{entry_field, LeafLayout};
 use chime::leaf::{LeafMeta, LeafOps};
 use dmem::node::RESERVED_BYTES;
-use dmem::versioned::{pack_ver, Layout};
-use dmem::{Endpoint, GlobalAddr, Pool};
+use dmem::versioned::{bump, ev, nv, pack_ver, Layout, LINE};
+use dmem::{Endpoint, FaultAction, FaultPlan, FaultRule, FaultSession, GlobalAddr, Pool, VerbKind};
 
 fn ops() -> LeafOps {
     LeafOps::new(LeafLayout {
@@ -33,10 +38,25 @@ type Setup = (Arc<Pool>, LeafOps, GlobalAddr, Vec<(u64, Vec<u8>)>);
 
 fn setup(n: u64) -> Setup {
     let pool = Pool::with_defaults(1, 4 << 20);
-    let mut ep = Endpoint::new(Arc::clone(&pool));
     let ops = ops();
     let addr = GlobalAddr::new(0, RESERVED_BYTES);
-    let items: Vec<(u64, Vec<u8>)> = (1..=n).map(|k| (k * 3, k.to_le_bytes().to_vec())).collect();
+    let items = write_leaf(&pool, &ops, addr, n, 3);
+    (pool, ops, addr, items)
+}
+
+/// Writes a fresh leaf at `addr` holding keys `k * stride` for `k` in
+/// `1..=n`; returns its items.
+fn write_leaf(
+    pool: &Arc<Pool>,
+    ops: &LeafOps,
+    addr: GlobalAddr,
+    n: u64,
+    stride: u64,
+) -> Vec<(u64, Vec<u8>)> {
+    let mut ep = Endpoint::new(Arc::clone(pool));
+    let items: Vec<(u64, Vec<u8>)> = (1..=n)
+        .map(|k| (k * stride, k.to_le_bytes().to_vec()))
+        .collect();
     let w = build_table(64, 8, &items).unwrap();
     let meta = LeafMeta {
         sibling: GlobalAddr::NULL,
@@ -44,7 +64,7 @@ fn setup(n: u64) -> Setup {
         fences: None,
     };
     ops.write_new(&mut ep, addr, &w, &meta);
-    (pool, ops, addr, items)
+    items
 }
 
 /// Overwrites one entry's version byte with a mismatching NV, simulating a
@@ -153,8 +173,8 @@ fn speculative_read_fails_closed_on_torn_entry() {
     ep.read(addr.add(p as u64), &mut orig);
     // Entries straddling a line have interior version slots; bumping only
     // the lead byte makes them disagree.
-    let slots = layout.line_ver_slots(off, off + ops.layout.entry_size());
-    if slots.is_empty() {
+    let interior_slots = layout.line_ver_slots(off, off + ops.layout.entry_size());
+    if interior_slots.len() == 0 {
         // Entry fits one line: a torn EV is impossible by construction;
         // nothing to inject (that is itself the guarantee).
         return;
@@ -166,4 +186,134 @@ fn speculative_read_fails_closed_on_torn_entry() {
         "speculation must fail closed on EV mismatch"
     );
     ep.write(addr.add(p as u64), &orig);
+}
+
+/// Verbs of the reader's endpoint after which a scheduled heal lands.
+const HEAL_AFTER: u64 = 3;
+
+/// A reader endpoint that has already issued the heal of a torn state: a
+/// WRITE of `orig` at `at` torn to zero lines, so all of it lands
+/// [`HEAL_AFTER`] verbs later. A reader retrying once per READ therefore
+/// sees the torn state on exactly `HEAL_AFTER - 1` READs.
+fn reader_healing_later(pool: &Arc<Pool>, at: GlobalAddr, orig: &[u8]) -> Endpoint {
+    let mut plan = FaultPlan::seeded(1);
+    plan.rules.push(FaultRule::always(
+        "heal-later",
+        Some(VerbKind::Write),
+        FaultAction::TornWrite {
+            lines: 0,
+            heal_after: Some(HEAL_AFTER),
+        },
+    ));
+    let mut ep = Endpoint::with_faults(Arc::clone(pool), Arc::new(FaultSession::new(plan)), 0);
+    ep.write(at, orig);
+    ep
+}
+
+/// Two leaves read in one batch, the second one torn by `tear`, which
+/// overwrites bytes of it through a plain endpoint and returns the address
+/// and original bytes that heal it. The batch must keep re-reading the torn
+/// leaf until the heal lands, then return both leaves' exact content.
+fn batch_read_waits_out(
+    tear: impl FnOnce(&Arc<Pool>, &LeafOps, GlobalAddr) -> (GlobalAddr, Vec<u8>),
+) {
+    let pool = Pool::with_defaults(1, 4 << 20);
+    let ops = ops();
+    let first = GlobalAddr::new(0, RESERVED_BYTES);
+    let second = GlobalAddr::new(0, RESERVED_BYTES + 4096);
+    let want_first = write_leaf(&pool, &ops, first, 40, 3);
+    let want_second = write_leaf(&pool, &ops, second, 40, 5);
+    let (at, orig) = tear(&pool, &ops, second);
+    let mut ep = reader_healing_later(&pool, at, &orig);
+    let torn_before = ep.stats().torn_reads_detected;
+    let snaps = ops.read_full_batch(&mut ep, &[first, second]);
+    assert_eq!(
+        ep.stats().torn_reads_detected - torn_before,
+        HEAL_AFTER - 1,
+        "one torn read per READ until the heal lands"
+    );
+    for (snap, want) in snaps.into_iter().zip([want_first, want_second]) {
+        let mut got: Vec<_> = snap.into_items().collect();
+        got.sort();
+        assert_eq!(got, want);
+    }
+}
+
+/// Overwrites the logical bytes at `off` of the leaf at `addr` with
+/// `bytes` (which must not cross a line-version slot); returns the heal.
+fn overwrite(
+    pool: &Arc<Pool>,
+    ops: &LeafOps,
+    addr: GlobalAddr,
+    off: usize,
+    bytes: &[u8],
+) -> (GlobalAddr, Vec<u8>) {
+    let layout = ops.layout.versioned();
+    let span = layout.phys_of(off + bytes.len() - 1) - layout.phys_of(off);
+    assert_eq!(span, bytes.len() - 1, "bytes cross a line-version slot");
+    let at = addr.add(layout.phys_of(off) as u64);
+    let mut ep = Endpoint::new(Arc::clone(pool));
+    let mut orig = vec![0u8; bytes.len()];
+    ep.read(at, &mut orig);
+    ep.write(at, bytes);
+    (at, orig)
+}
+
+/// A node write stalled after touching one line: that line's version byte
+/// carries a newer NV than the rest of the leaf.
+#[test]
+fn batch_read_waits_out_torn_line_nv() {
+    batch_read_waits_out(|pool, _ops, addr| {
+        let at = addr.add(5 * LINE as u64);
+        let mut ep = Endpoint::new(Arc::clone(pool));
+        let mut orig = vec![0u8; 1];
+        ep.read(at, &mut orig);
+        ep.write(at, &[pack_ver(bump(nv(orig[0])), ev(orig[0]))]);
+        (at, orig)
+    });
+}
+
+/// An entry write stalled between the entry's leading version byte and
+/// the line-version slot inside it: the entry straddles a line, and its
+/// two version bytes disagree on EV while every NV still agrees.
+#[test]
+fn batch_read_waits_out_torn_ev_of_straddling_entry() {
+    batch_read_waits_out(|pool, ops, addr| {
+        let layout = ops.layout.versioned();
+        let esize = ops.layout.entry_size();
+        let idx = (0..64)
+            .find(|&i| {
+                let off = ops.layout.entry_off(i);
+                layout.line_ver_slots(off, off + esize).len() == 1 && off % 63 != 0
+            })
+            .expect("some entry straddles a line");
+        let off = ops.layout.entry_off(idx);
+        let mut ep = Endpoint::new(Arc::clone(pool));
+        let mut lead = [0u8; 1];
+        ep.read(addr.add(layout.phys_of(off) as u64), &mut lead);
+        overwrite(
+            pool,
+            ops,
+            addr,
+            off,
+            &[pack_ver(nv(lead[0]), bump(ev(lead[0])))],
+        )
+    });
+}
+
+/// A hop stalled between moving a key out of its slot and clearing the
+/// home bitmap bit: the bitmap claims an empty slot.
+#[test]
+fn batch_read_waits_out_bitmap_occupancy_mismatch() {
+    batch_read_waits_out(|pool, ops, addr| {
+        let layout = ops.layout.versioned();
+        let mut ep = Endpoint::new(Arc::clone(pool));
+        let snap = ops.read_full(&mut ep, addr);
+        let key_off = (0..64)
+            .filter(|&i| snap.keys[i] != 0)
+            .map(|i| ops.layout.entry_off(i) + entry_field::KEY)
+            .find(|&k| layout.line_ver_slots(k, k + 8).len() == 0)
+            .expect("some stored key lies inside one line");
+        overwrite(pool, ops, addr, key_off, &0u64.to_le_bytes())
+    });
 }

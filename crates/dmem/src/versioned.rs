@@ -17,6 +17,8 @@
 //! logical space, so a fetch that starts at an object boundary always carries
 //! enough version information to detect cross-line tearing.
 
+use std::ops::Range;
+
 use crate::addr::GlobalAddr;
 use crate::verbs::Endpoint;
 
@@ -115,11 +117,18 @@ impl Layout {
         }
     }
 
-    /// Fetches logical range `[lstart, lend)` with one READ.
-    ///
-    /// The physical fetch starts at [`Layout::phys_start`]`(lstart)` — by
-    /// convention an object boundary carrying a version byte — and ends at
+    /// Physical byte range `[start, end)` of an access to logical
+    /// `[lstart, lend)`: from [`Layout::phys_start`]`(lstart)` — by
+    /// convention an object boundary carrying a version byte — to
     /// `phys_of(lend - 1) + 1`.
+    #[inline]
+    pub fn phys_range(&self, lstart: usize, lend: usize) -> Range<usize> {
+        assert!(lstart < lend && lend <= self.payload_len);
+        self.phys_start(lstart)..self.phys_of(lend - 1) + 1
+    }
+
+    /// Fetches logical range `[lstart, lend)` with one READ of
+    /// [`Layout::phys_range`].
     pub fn fetch(
         &self,
         ep: &mut Endpoint,
@@ -127,18 +136,10 @@ impl Layout {
         lstart: usize,
         lend: usize,
     ) -> Fetched {
-        assert!(lstart < lend && lend <= self.payload_len);
-        let pstart = self.phys_start(lstart);
-        let pend = self.phys_of(lend - 1) + 1;
-        let mut buf = vec![0u8; pend - pstart];
-        ep.read(node.add(pstart as u64), &mut buf);
-        Fetched {
-            layout: *self,
-            lstart,
-            lend,
-            pstart,
-            buf,
-        }
+        let prange = self.phys_range(lstart, lend);
+        let mut raw = vec![0u8; prange.len()];
+        ep.read(node.add(prange.start as u64), &mut raw);
+        self.from_raw(lstart, lend, &raw)
     }
 
     /// Fetches two logical ranges with one doorbell batch (wrap-around case).
@@ -149,89 +150,87 @@ impl Layout {
         r1: (usize, usize),
         r2: (usize, usize),
     ) -> (Fetched, Fetched) {
-        let mk = |(ls, le): (usize, usize)| {
-            assert!(ls < le && le <= self.payload_len);
-            let ps = self.phys_start(ls);
-            let pe = self.phys_of(le - 1) + 1;
-            (ps, vec![0u8; pe - ps])
-        };
-        let (p1, mut b1) = mk(r1);
-        let (p2, mut b2) = mk(r2);
-        {
-            let mut reqs = [
-                (node.add(p1 as u64), &mut b1[..]),
-                (node.add(p2 as u64), &mut b2[..]),
-            ];
-            ep.read_batch(&mut reqs);
-        }
-        (
-            Fetched {
-                layout: *self,
-                lstart: r1.0,
-                lend: r1.1,
-                pstart: p1,
-                buf: b1,
-            },
-            Fetched {
-                layout: *self,
-                lstart: r2.0,
-                lend: r2.1,
-                pstart: p2,
-                buf: b2,
-            },
-        )
+        let mut both = self.fetch_many(ep, node, &[r1, r2]);
+        let f2 = both.pop().expect("two ranges fetched");
+        let f1 = both.pop().expect("two ranges fetched");
+        (f1, f2)
     }
 
-    /// Wraps raw physical bytes (read by the caller, starting at
-    /// [`Layout::phys_start`]`(lstart)`) into a [`Fetched`] view.
-    pub fn from_raw(&self, lstart: usize, lend: usize, buf: Vec<u8>) -> Fetched {
-        assert!(lstart < lend && lend <= self.payload_len);
-        let pstart = self.phys_start(lstart);
-        let pend = self.phys_of(lend - 1) + 1;
-        assert_eq!(buf.len(), pend - pstart, "raw buffer size mismatch");
-        Fetched {
-            layout: *self,
-            lstart,
-            lend,
-            pstart,
-            buf,
-        }
-    }
-
-    /// Fetches any number of logical ranges with one doorbell batch.
+    /// Fetches any number of logical ranges of one node with one doorbell
+    /// batch.
     pub fn fetch_many(
         &self,
         ep: &mut Endpoint,
         node: GlobalAddr,
         ranges: &[(usize, usize)],
     ) -> Vec<Fetched> {
-        assert!(!ranges.is_empty());
-        let mut bufs: Vec<(usize, Vec<u8>)> = ranges
+        let reqs: Vec<(GlobalAddr, usize, usize)> =
+            ranges.iter().map(|&(ls, le)| (node, ls, le)).collect();
+        self.fetch_batch(ep, &reqs)
+    }
+
+    /// Fetches logical range `[lstart, lend)` of each `(node, lstart, lend)`
+    /// request with one doorbell batch (one READ per request).
+    pub fn fetch_batch(
+        &self,
+        ep: &mut Endpoint,
+        reqs: &[(GlobalAddr, usize, usize)],
+    ) -> Vec<Fetched> {
+        assert!(!reqs.is_empty());
+        let pranges: Vec<Range<usize>> = reqs
             .iter()
-            .map(|&(ls, le)| {
-                assert!(ls < le && le <= self.payload_len);
-                let ps = self.phys_start(ls);
-                let pe = self.phys_of(le - 1) + 1;
-                (ps, vec![0u8; pe - ps])
-            })
+            .map(|&(_, ls, le)| self.phys_range(ls, le))
             .collect();
+        // One buffer for every physical image; each READ gets its own slice.
+        let mut raw = vec![0u8; pranges.iter().map(Range::len).sum()];
         {
-            let mut reqs: Vec<(GlobalAddr, &mut [u8])> = bufs
-                .iter_mut()
-                .map(|(ps, buf)| (node.add(*ps as u64), &mut buf[..]))
-                .collect();
-            ep.read_batch(&mut reqs);
+            let mut rest = &mut raw[..];
+            let mut verbs: Vec<(GlobalAddr, &mut [u8])> = Vec::with_capacity(reqs.len());
+            for (&(node, _, _), prange) in reqs.iter().zip(&pranges) {
+                let (dst, tail) = rest.split_at_mut(prange.len());
+                verbs.push((node.add(prange.start as u64), dst));
+                rest = tail;
+            }
+            ep.read_batch(&mut verbs);
         }
-        bufs.into_iter()
-            .zip(ranges.iter())
-            .map(|((ps, buf), &(ls, le))| Fetched {
-                layout: *self,
-                lstart: ls,
-                lend: le,
-                pstart: ps,
-                buf,
+        let mut at = 0;
+        reqs.iter()
+            .zip(&pranges)
+            .map(|(&(_, ls, le), prange)| {
+                let f = self.from_raw(ls, le, &raw[at..at + prange.len()]);
+                at += prange.len();
+                f
             })
             .collect()
+    }
+
+    /// Decodes the physical image `phys` of logical `[lstart, lend)` (as
+    /// read from [`Layout::phys_range`]) into a [`Fetched`] view. Every
+    /// fetch goes through here: the image is de-interleaved once, one copy
+    /// per line run, so the accessors are plain slice reads.
+    pub fn from_raw(&self, lstart: usize, lend: usize, phys: &[u8]) -> Fetched {
+        let prange = self.phys_range(lstart, lend);
+        assert_eq!(phys.len(), prange.len(), "raw buffer size mismatch");
+        let len = lend - lstart;
+        // Logical bytes first, then the line-version bytes in line order.
+        let mut buf = vec![0u8; phys.len()];
+        let (data, vers) = buf.split_at_mut(len);
+        let head = head_len(&prange);
+        data[..head].copy_from_slice(&phys[..head]);
+        let mut at = head;
+        for (v, line) in vers.iter_mut().zip(phys[head..].chunks(LINE)) {
+            *v = line[0];
+            data[at..at + line.len() - 1].copy_from_slice(&line[1..]);
+            at += line.len() - 1;
+        }
+        debug_assert_eq!(at, len);
+        Fetched {
+            layout: *self,
+            lstart,
+            lend,
+            first_line: prange.start.div_ceil(LINE),
+            buf,
+        }
     }
 
     /// Builds the physical image of logical range `[lstart, lend)`.
@@ -245,23 +244,22 @@ impl Layout {
         data: &[u8],
         mut line_ver: impl FnMut(usize) -> u8,
     ) -> (usize, Vec<u8>) {
-        let lend = lstart + data.len();
-        assert!(lend <= self.payload_len);
-        let pstart = self.phys_start(lstart);
-        let pend = self.phys_of(lend - 1) + 1;
-        let mut out = vec![0u8; pend - pstart];
-        for (i, b) in out.iter_mut().enumerate() {
-            let p = pstart + i;
-            if p.is_multiple_of(LINE) {
-                // The version slot guards the payload byte at logical
-                // position (p / LINE) * LINE_PAYLOAD.
-                *b = line_ver((p / LINE) * LINE_PAYLOAD);
-            } else {
-                let l = (p / LINE) * LINE_PAYLOAD + (p % LINE - 1);
-                *b = data[l - lstart];
-            }
+        let prange = self.phys_range(lstart, lstart + data.len());
+        let mut out = vec![0u8; prange.len()];
+        let head = head_len(&prange);
+        out[..head].copy_from_slice(&data[..head]);
+        let mut at = head;
+        let first_line = prange.start.div_ceil(LINE);
+        for (k, line) in out[head..].chunks_mut(LINE).enumerate() {
+            // The version slot guards the payload byte at logical position
+            // line * LINE_PAYLOAD.
+            line[0] = line_ver((first_line + k) * LINE_PAYLOAD);
+            let n = line.len() - 1;
+            line[1..].copy_from_slice(&data[at..at + n]);
+            at += n;
         }
-        (pstart, out)
+        debug_assert_eq!(at, data.len());
+        (prange.start, out)
     }
 
     /// Writes logical range `[lstart, lstart+data.len())` with one WRITE.
@@ -280,27 +278,34 @@ impl Layout {
     }
 
     /// Logical offsets (following positions) of the line-version slots that
-    /// fall strictly inside physical range of logical `[lstart, lend)`.
-    pub fn line_ver_slots(&self, lstart: usize, lend: usize) -> Vec<usize> {
-        let pstart = self.phys_start(lstart);
-        let pend = self.phys_of(lend - 1) + 1;
-        let mut v = Vec::new();
-        for line in pstart / LINE..=(pend - 1) / LINE {
-            let p = line * LINE;
-            if p >= pstart && p < pend {
-                v.push(line * LINE_PAYLOAD);
-            }
-        }
-        v
+    /// fall inside the physical range of logical `[lstart, lend)`, ascending.
+    pub fn line_ver_slots(
+        &self,
+        lstart: usize,
+        lend: usize,
+    ) -> impl ExactSizeIterator<Item = usize> {
+        let prange = self.phys_range(lstart, lend);
+        (prange.start.div_ceil(LINE)..prange.end.div_ceil(LINE)).map(|line| line * LINE_PAYLOAD)
     }
 }
 
-/// The result of a versioned fetch: raw physical bytes plus accessors.
+/// Length of the payload-only head of physical range `prange`: the bytes before
+/// its first line boundary. Every later line starts with its version byte.
+#[inline]
+fn head_len(prange: &Range<usize>) -> usize {
+    ((LINE - prange.start % LINE) % LINE).min(prange.len())
+}
+
+/// The result of a versioned fetch, decoded once by [`Layout::from_raw`].
+///
+/// `buf` holds the logical bytes `[lstart, lend)` contiguously, followed by
+/// the version byte of every line slot inside the physical fetch in line
+/// order; the first of those slots heads line `first_line`.
 pub struct Fetched {
     layout: Layout,
     lstart: usize,
     lend: usize,
-    pstart: usize,
+    first_line: usize,
     buf: Vec<u8>,
 }
 
@@ -315,79 +320,76 @@ impl Fetched {
         self.lend
     }
 
+    /// The `len` logical bytes starting at absolute logical offset `l`.
+    #[inline]
+    fn bytes(&self, l: usize, len: usize) -> &[u8] {
+        let o = l - self.lstart;
+        &self.buf[..self.lend - self.lstart][o..o + len]
+    }
+
+    /// The version bytes of every line slot in the fetch, in line order.
+    #[inline]
+    fn versions(&self) -> &[u8] {
+        &self.buf[self.lend - self.lstart..]
+    }
+
     /// Returns the logical byte at absolute logical offset `l`.
     #[inline]
     pub fn get(&self, l: usize) -> u8 {
-        debug_assert!(l >= self.lstart && l < self.lend);
-        self.buf[self.layout.phys_of(l) - self.pstart]
+        self.bytes(l, 1)[0]
     }
 
     /// Copies `len` logical bytes starting at absolute logical offset `l`.
+    #[inline]
     pub fn copy(&self, l: usize, len: usize) -> Vec<u8> {
-        (l..l + len).map(|i| self.get(i)).collect()
+        self.bytes(l, len).to_vec()
     }
 
     /// Reads a little-endian `u64` at absolute logical offset `l`.
+    #[inline]
     pub fn u64_at(&self, l: usize) -> u64 {
-        let mut b = [0u8; 8];
-        for (i, x) in b.iter_mut().enumerate() {
-            *x = self.get(l + i);
-        }
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.bytes(l, 8).try_into().expect("8-byte slice"))
     }
 
     /// Reads a little-endian `u16` at absolute logical offset `l`.
+    #[inline]
     pub fn u16_at(&self, l: usize) -> u16 {
-        u16::from_le_bytes([self.get(l), self.get(l + 1)])
+        u16::from_le_bytes(self.bytes(l, 2).try_into().expect("2-byte slice"))
     }
 
     /// Version bytes of the line slots inside logical `[a, b)` (both bounds
-    /// absolute), i.e. the interleaved cache-line versions a reader must
-    /// check for an object spanning that range.
-    pub fn line_versions(&self, a: usize, b: usize) -> Vec<u8> {
+    /// absolute, inside the fetch), i.e. the interleaved cache-line versions
+    /// a reader must check for an object spanning that range.
+    pub fn line_versions(&self, a: usize, b: usize) -> impl Iterator<Item = u8> + '_ {
+        assert!(
+            a >= self.lstart && b <= self.lend,
+            "range outside the fetch"
+        );
+        let vers = self.versions();
         self.layout
             .line_ver_slots(a, b)
-            .iter()
-            .map(|&slot| {
-                let p = (slot / LINE_PAYLOAD) * LINE;
-                self.buf[p - self.pstart]
-            })
-            .collect()
+            .map(move |slot| vers[slot / LINE_PAYLOAD - self.first_line])
     }
 
     /// Checks that every version byte in the fetch (line slots plus the
     /// object-leading bytes at `object_leads`, absolute logical offsets)
     /// agrees on NV. Returns that NV on success.
-    pub fn check_nv(&self, object_leads: &[usize]) -> Option<u8> {
-        let mut expect: Option<u8> = None;
-        let mut probe = |b: u8| -> bool {
-            let n = nv(b);
-            match expect {
-                None => {
-                    expect = Some(n);
-                    true
-                }
-                Some(e) => e == n,
-            }
-        };
-        for b in self.line_versions(self.lstart, self.lend) {
-            if !probe(b) {
-                return None;
-            }
-        }
-        for &l in object_leads {
-            if !probe(self.get(l)) {
-                return None;
-            }
-        }
-        expect
+    pub fn check_nv(&self, object_leads: impl IntoIterator<Item = usize>) -> Option<u8> {
+        let mut nvs = self
+            .versions()
+            .iter()
+            .copied()
+            .chain(object_leads.into_iter().map(|l| self.get(l)))
+            .map(nv);
+        let first = nvs.next()?;
+        nvs.all(|n| n == first).then_some(first)
     }
 
     /// Checks that the object spanning logical `[a, b)` with leading version
     /// byte at `a` is EV-consistent (no concurrent entry write observed).
     pub fn check_ev(&self, a: usize, b: usize) -> bool {
         let lead = ev(self.get(a));
-        self.line_versions(a, b).iter().all(|&v| ev(v) == lead)
+        self.line_versions(a, b).all(|v| ev(v) == lead)
     }
 }
 
@@ -470,10 +472,10 @@ mod tests {
         // Overwrite the second line only, with a different NV.
         layout.write(&mut e, node, 63, &[7u8; 63], |_| pack_ver(3, 0));
         let f = layout.fetch(&mut e, node, 0, 150);
-        assert_eq!(f.check_nv(&[]), None);
+        assert_eq!(f.check_nv([]), None);
         // A fetch confined to the second line is self-consistent.
         let f2 = layout.fetch(&mut e, node, 63, 126);
-        assert_eq!(f2.check_nv(&[]), Some(3));
+        assert_eq!(f2.check_nv([]), Some(3));
     }
 
     #[test]
@@ -499,11 +501,161 @@ mod tests {
     fn line_ver_slots_positions() {
         let layout = Layout::new(300);
         // A range starting on a line-payload boundary owns that line's slot.
-        assert_eq!(layout.line_ver_slots(0, 63), vec![0]);
+        let slots = |a, b| layout.line_ver_slots(a, b).collect::<Vec<_>>();
+        assert_eq!(slots(0, 63), vec![0]);
         // Range [0, 64) crosses into line 1: also the slot guarding 63.
-        assert_eq!(layout.line_ver_slots(0, 64), vec![0, 63]);
+        assert_eq!(slots(0, 64), vec![0, 63]);
         // A mid-line start does not own the slot before it.
-        assert_eq!(layout.line_ver_slots(50, 130), vec![63, 126]);
+        assert_eq!(slots(50, 130), vec![63, 126]);
+        // A one-byte range on a line-payload boundary owns that line's slot.
+        assert_eq!(slots(126, 127), vec![126]);
+        assert!(slots(127, 128).is_empty());
+    }
+
+    /// Reference for the decoded accessors: the byte-wise `phys_of` view of
+    /// physical image `phys` of logical `[lstart, lend)`.
+    struct ByteWise<'a> {
+        layout: Layout,
+        pstart: usize,
+        phys: &'a [u8],
+    }
+
+    impl ByteWise<'_> {
+        fn get(&self, l: usize) -> u8 {
+            self.phys[self.layout.phys_of(l) - self.pstart]
+        }
+
+        /// Line-version slots of `[a, b)`: every line start inside its
+        /// physical range, found by scanning the lines it touches.
+        fn slots(&self, a: usize, b: usize) -> Vec<usize> {
+            let pstart = self.layout.phys_start(a);
+            let pend = self.layout.phys_of(b - 1) + 1;
+            (pstart / LINE..=(pend - 1) / LINE)
+                .filter(|line| line * LINE >= pstart)
+                .map(|line| line * LINE_PAYLOAD)
+                .collect()
+        }
+
+        fn line_versions(&self, a: usize, b: usize) -> Vec<u8> {
+            self.slots(a, b)
+                .iter()
+                .map(|slot| self.phys[slot / LINE_PAYLOAD * LINE - self.pstart])
+                .collect()
+        }
+    }
+
+    /// Draws a logical range of `payload`: one byte, starting on a
+    /// line-payload boundary, or anywhere (often spanning many lines).
+    fn pick_range(payload: usize, shape: u8, a: usize, len: usize) -> (usize, usize) {
+        let a = a % payload;
+        let (start, len) = match shape {
+            0 => (a, 1),
+            1 => (a / LINE_PAYLOAD * LINE_PAYLOAD, len),
+            _ => (a, len),
+        };
+        (start, (start + len).min(payload))
+    }
+
+    proptest::proptest! {
+        // Few cases under miri: the nightly job runs this crate's unit tests.
+        #![proptest_config(proptest::test_runner::Config::with_cases(if cfg!(miri) { 6 } else { 48 }))]
+
+        /// Every decoded accessor agrees with the byte-wise mapping, on
+        /// images whose version bytes mostly agree (so both outcomes of
+        /// the NV/EV checks occur).
+        #[test]
+        fn decoded_accessors_match_bytewise_mapping(
+            geom in (1usize..700, 0u8..3, 0usize..700, 1usize..400),
+            seed in proptest::arbitrary::any::<u64>(),
+            tear in 0usize..12,
+            sub in (0usize..700, 1usize..200),
+        ) {
+            let (payload, shape, a, len) = geom;
+            let layout = Layout::new(payload);
+            let (lstart, lend) = pick_range(payload, shape, a, len);
+            let prange = layout.phys_range(lstart, lend);
+            let mut x = seed | 1;
+            let mut phys: Vec<u8> = (0..prange.len())
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            // Uniform line versions, except one torn slot when `tear` hits.
+            for (k, p) in (prange.start.div_ceil(LINE) * LINE..prange.end).step_by(LINE).enumerate() {
+                phys[p - prange.start] = if k == tear { pack_ver(3, 6) } else { pack_ver(2, 5) };
+            }
+            let lead = lstart + (sub.0 % (lend - lstart));
+            if tear % 3 == 0 {
+                phys[layout.phys_of(lead) - prange.start] = pack_ver(2, 5);
+            }
+            let f = layout.from_raw(lstart, lend, &phys);
+            let r = ByteWise { layout, pstart: prange.start, phys: &phys };
+            proptest::prop_assert_eq!((f.lstart(), f.lend()), (lstart, lend));
+            for l in lstart..lend {
+                proptest::prop_assert_eq!(f.get(l), r.get(l));
+            }
+            let want: Vec<u8> = (lstart..lend).map(|l| r.get(l)).collect();
+            proptest::prop_assert_eq!(f.copy(lstart, lend - lstart), want);
+            for l in lstart..lend.saturating_sub(7) {
+                let b: Vec<u8> = (l..l + 8).map(|i| r.get(i)).collect();
+                proptest::prop_assert_eq!(f.u64_at(l), u64::from_le_bytes(b.try_into().unwrap()));
+            }
+            for l in lstart..lend.saturating_sub(1) {
+                proptest::prop_assert_eq!(f.u16_at(l), u16::from_le_bytes([r.get(l), r.get(l + 1)]));
+            }
+            // A sub-object [sa, sb) of the fetch, as an entry would be.
+            let sa = lead;
+            let sb = (sa + sub.1).min(lend);
+            proptest::prop_assert_eq!(
+                layout.line_ver_slots(sa, sb).collect::<Vec<_>>(),
+                r.slots(sa, sb)
+            );
+            proptest::prop_assert_eq!(
+                f.line_versions(sa, sb).collect::<Vec<_>>(),
+                r.line_versions(sa, sb)
+            );
+            proptest::prop_assert_eq!(
+                f.line_versions(lstart, lend).collect::<Vec<_>>(),
+                r.line_versions(lstart, lend)
+            );
+            let mut all = r.line_versions(lstart, lend);
+            all.push(r.get(lead));
+            let want_nv = all.iter().all(|&v| nv(v) == nv(all[0])).then(|| nv(all[0]));
+            proptest::prop_assert_eq!(f.check_nv([lead]), want_nv);
+            let want_ev = r.line_versions(sa, sb).iter().all(|&v| ev(v) == ev(r.get(sa)));
+            proptest::prop_assert_eq!(f.check_ev(sa, sb), want_ev);
+        }
+
+        /// `build_phys` interleaves exactly like the byte-wise mapping, and
+        /// decoding its image with `from_raw` returns the data and versions.
+        #[test]
+        fn build_phys_roundtrips_through_from_raw(
+            geom in (1usize..700, 0u8..3, 0usize..700, 1usize..400),
+            seed in proptest::arbitrary::any::<u8>(),
+        ) {
+            let (payload, shape, a, len) = geom;
+            let layout = Layout::new(payload);
+            let (lstart, lend) = pick_range(payload, shape, a, len);
+            let data: Vec<u8> = (lstart..lend).map(|l| (l as u8).wrapping_mul(31) ^ seed).collect();
+            let ver = |slot: usize| (slot % 251) as u8 ^ seed;
+            let (pstart, phys) = layout.build_phys(lstart, &data, ver);
+            let prange = layout.phys_range(lstart, lend);
+            proptest::prop_assert_eq!(pstart, prange.start);
+            proptest::prop_assert_eq!(phys.len(), prange.len());
+            let r = ByteWise { layout, pstart, phys: &phys };
+            for l in lstart..lend {
+                proptest::prop_assert_eq!(r.get(l), data[l - lstart]);
+            }
+            let slots = r.slots(lstart, lend);
+            let vers: Vec<u8> = slots.iter().map(|&s| ver(s)).collect();
+            proptest::prop_assert_eq!(r.line_versions(lstart, lend), vers.clone());
+            let f = layout.from_raw(lstart, lend, &phys);
+            proptest::prop_assert_eq!(f.copy(lstart, lend - lstart), data);
+            proptest::prop_assert_eq!(f.line_versions(lstart, lend).collect::<Vec<_>>(), vers);
+        }
     }
 
     #[test]

@@ -358,20 +358,12 @@ impl RangeIndex for ChimeLearnedClient {
         while idx < self.shared.num_leaves {
             let addr = self.shared.leaf_addr(idx);
             let snap = leaf.read_full(&mut self.ep, addr);
-            for (k, v) in snap.items() {
-                if k >= start {
-                    collected.push((k, v));
-                }
-            }
             let mut syn = snap.meta.sibling;
+            collected.extend(snap.into_items().filter(|&(k, _)| k >= start));
             while !syn.is_null() {
                 let s = leaf.read_full(&mut self.ep, syn);
-                for (k, v) in s.items() {
-                    if k >= start {
-                        collected.push((k, v));
-                    }
-                }
                 syn = s.meta.sibling;
+                collected.extend(s.into_items().filter(|&(k, _)| k >= start));
             }
             idx += 1;
             if collected.len() >= count {

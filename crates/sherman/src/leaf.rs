@@ -117,11 +117,8 @@ pub struct ShermanLeafOps {
 impl ShermanLeafOps {
     fn parse(&self, f: &Fetched) -> Option<LeafSnapshot> {
         let l = self.layout;
-        let mut leads = vec![header::VER];
-        for i in 0..l.span {
-            leads.push(l.entry_off(i));
-        }
-        let nv = f.check_nv(&leads)?;
+        let leads = std::iter::once(header::VER).chain((0..l.span).map(|i| l.entry_off(i)));
+        let nv = f.check_nv(leads)?;
         if !f.check_ev(0, header::SIZE) {
             return None;
         }
@@ -194,20 +191,12 @@ impl ShermanLeafOps {
                 std::thread::yield_now();
             }
             assert!(spins < 1_000_000, "sherman batch read livelock");
-            let ps = layout.phys_start(0);
-            let pe = layout.phys_of(self.layout.payload_len() - 1) + 1;
-            let mut raw: Vec<(GlobalAddr, Vec<u8>)> = pending
+            let reqs: Vec<(GlobalAddr, usize, usize)> = pending
                 .iter()
-                .map(|&i| (addrs[i].add(ps as u64), vec![0u8; pe - ps]))
+                .map(|&i| (addrs[i], 0, self.layout.payload_len()))
                 .collect();
-            {
-                let mut reqs: Vec<(GlobalAddr, &mut [u8])> =
-                    raw.iter_mut().map(|(a, b)| (*a, &mut b[..])).collect();
-                ep.read_batch(&mut reqs);
-            }
             let mut still = Vec::new();
-            for (&slot, (_, buf)) in pending.iter().zip(raw) {
-                let f = layout.from_raw(0, self.layout.payload_len(), buf);
+            for (&slot, f) in pending.iter().zip(layout.fetch_batch(ep, &reqs)) {
                 match self.parse(&f) {
                     Some(s) => out[slot] = Some(s),
                     None => still.push(slot),

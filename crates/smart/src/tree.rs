@@ -621,23 +621,10 @@ impl RangeIndex for SmartClient {
         let mut collected = Vec::new();
         for chunk in leaves.chunks(16) {
             // One doorbell batch of single-KV reads per chunk.
-            let mut bufs: Vec<(GlobalAddr, Vec<u8>)> = chunk
-                .iter()
-                .map(|a| {
-                    let l = ops.leaf_layout();
-                    let ps = l.phys_start(0);
-                    let pe = l.phys_of(9 + self.shared.cfg.value_size - 1) + 1;
-                    (a.add(ps as u64), vec![0u8; pe - ps])
-                })
-                .collect();
-            {
-                let mut reqs: Vec<(GlobalAddr, &mut [u8])> =
-                    bufs.iter_mut().map(|(a, b)| (*a, &mut b[..])).collect();
-                self.ep.read_batch(&mut reqs);
-            }
-            for (_, buf) in bufs {
-                let l = ops.leaf_layout();
-                let f = l.from_raw(0, 9 + self.shared.cfg.value_size, buf);
+            let kv_len = 9 + self.shared.cfg.value_size;
+            let reqs: Vec<(GlobalAddr, usize, usize)> =
+                chunk.iter().map(|&a| (a, 0, kv_len)).collect();
+            for f in ops.leaf_layout().fetch_batch(&mut self.ep, &reqs) {
                 let k = f.u64_at(1);
                 if k >= start && k != 0 {
                     collected.push((k, f.copy(9, self.shared.cfg.value_size)));
